@@ -65,6 +65,16 @@ Enforces the discipline clang-tidy cannot express:
                     away and the noop suite can prove it. A direct call
                     would survive the metrics-off build and re-introduce
                     tracing cost the flag promises to remove.
+  fp-determinism    no value-changing floating-point optimization in the
+                    CMake files or in src/: -ffast-math, -Ofast,
+                    -funsafe-math-optimizations, -ffp-contract=fast,
+                    `#pragma GCC optimize` or an optimize attribute. The
+                    wave-field kernel (src/ocean/wave_field.cpp) gives the
+                    same doubles on every x86-64 machine only because
+                    the build never reassociates or contracts its
+                    arithmetic (DESIGN.md §5g); any of these would let a
+                    compiler or per-function setting change the synthesized
+                    traces.
 
 Exit status: 0 clean, 1 violations found, 2 internal error.
 
@@ -176,6 +186,26 @@ SPAN_FUNNEL_PATTERNS = (
     re.compile(r"(?:\.|->)\s*emit_span\s*\("),
 )
 
+# The floating-point determinism rule: compiler flags (checked in CMake
+# files) and per-function optimize overrides (checked in src/) that license
+# value-changing transformations.
+FP_FLAG_PATTERNS = (
+    re.compile(r"-ffast-math\b"),
+    re.compile(r"-Ofast\b"),
+    re.compile(r"-funsafe-math-optimizations\b"),
+    re.compile(r"-ffp-contract=fast\b"),
+)
+
+FP_SOURCE_PATTERNS = (
+    re.compile(r"#\s*pragma\s+GCC\s+optimize\b"),
+    re.compile(r"__attribute__\s*\(\(\s*optimize\b"),
+    re.compile(r"\bgnu\s*::\s*optimize\b"),
+) + FP_FLAG_PATTERNS
+
+# Directories whose CMakeLists.txt / *.cmake files the fp-determinism rule
+# reads, besides the root CMakeLists.txt.
+CMAKE_DIRS = SOURCE_DIRS + ("perfbench", "cmake")
+
 ALLOW_RE = re.compile(r"//\s*lint:allow\s+([a-z-]+)")
 
 RNG_PATTERNS = (
@@ -275,6 +305,7 @@ class Linter:
                       and not rel_posix.startswith(SPAN_FUNNEL_PREFIX))
         check_spatial = (rel_posix.startswith("src/")
                          and rel not in SPATIAL_ALLOWED)
+        check_fp = rel_posix.startswith("src/")
 
         for lineno, raw in enumerate(lines, start=1):
             allowed = {m for m in ALLOW_RE.findall(raw)}
@@ -362,6 +393,8 @@ class Linter:
                             f"src/wsn/spatial_index — query the grid "
                             f"index instead (its property test pins "
                             f"byte-identity to the brute-force scan)")
+            if check_fp and "fp-determinism" not in allowed:
+                self.check_fp(path, lineno, code, FP_SOURCE_PATTERNS)
             if (is_header and "header-using" not in allowed
                     and USING_NAMESPACE_RE.search(code)):
                 self.report("header-using", path, lineno,
@@ -374,6 +407,36 @@ class Linter:
                             f"inexact float literal {m.group(0)} in protocol "
                             f"struct — would break bit-identical replay")
 
+    def check_fp(self, path: Path, lineno: int, code: str, patterns):
+        for pat in patterns:
+            m = pat.search(code)
+            if m:
+                self.report(
+                    "fp-determinism", path, lineno,
+                    f"value-changing floating-point optimization "
+                    f"'{m.group(0).strip()}' — the wave-field kernel's "
+                    f"results must not depend on the compiler's "
+                    f"license to reassociate or contract")
+
+    def lint_cmake_file(self, path: Path):
+        try:
+            text = path.read_text(encoding="utf-8", errors="replace")
+        except OSError as err:
+            raise RuntimeError(
+                f"cannot read {path.relative_to(self.root)}: {err}") from err
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            if "fp-determinism" in ALLOW_RE.findall(raw):
+                continue
+            # Drop a trailing # comment (a '#' outside double quotes).
+            code, quoted = [], False
+            for c in raw:
+                if c == '"':
+                    quoted = not quoted
+                elif c == "#" and not quoted:
+                    break
+                code.append(c)
+            self.check_fp(path, lineno, "".join(code), FP_FLAG_PATTERNS)
+
     def run(self) -> int:
         files = []
         for d in SOURCE_DIRS:
@@ -385,8 +448,19 @@ class Linter:
         if not files:
             print("lint.py: no source files found", file=sys.stderr)
             return 2
+        cmake_files = [self.root / "CMakeLists.txt"]
+        for d in CMAKE_DIRS:
+            base = self.root / d
+            if base.is_dir():
+                cmake_files.extend(
+                    p for p in sorted(base.rglob("*"))
+                    if p.is_file() and (p.name == "CMakeLists.txt"
+                                        or p.suffix == ".cmake"))
         for f in files:
             self.lint_file(f)
+        for f in cmake_files:
+            if f.is_file():
+                self.lint_cmake_file(f)
         if self.violations:
             for v in self.violations:
                 print(v, file=sys.stderr)
@@ -433,6 +507,15 @@ def self_test() -> int:
             "  for (std::size_t i = 0; i < n; ++i)\n"
             "    for (std::size_t j = i + 1; j < n; ++j) touch(i, j);\n"
             "}\n",
+        "fp-pragma": "#pragma GCC optimize(\"O3\")\nint f();\n",
+        "fp-attribute":
+            "__attribute__((optimize(\"fast-math\"))) double f(double);\n",
+        "fp-cmake-fast-math": "add_compile_options(-ffast-math)\n",
+        "fp-cmake-ofast":
+            "target_compile_options(t PRIVATE \"-Ofast\")\n",
+        "fp-cmake-unsafe":
+            "set(CMAKE_CXX_FLAGS \"-O2 -funsafe-math-optimizations\")\n",
+        "fp-cmake-contract": "add_compile_options(-ffp-contract=fast)\n",
     }
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -497,6 +580,20 @@ def self_test() -> int:
         (wsn / "defense_user.cpp").write_text(cases["defense-funnel"])
         # ...and the spatial index itself IS the funnel: exempt.
         (wsn / "spatial_index.cpp").write_text(cases["spatial-funnel"])
+        # fp-determinism plants: optimize overrides in src/, value-changing
+        # flags in CMake files at the root, in src/ and in a .cmake module.
+        (src / "t.cpp").write_text(cases["fp-pragma"])
+        (src / "u.cpp").write_text(cases["fp-attribute"])
+        (root / "CMakeLists.txt").write_text(cases["fp-cmake-fast-math"])
+        (src / "CMakeLists.txt").write_text(cases["fp-cmake-ofast"])
+        cmake_dir = root / "cmake"
+        cmake_dir.mkdir()
+        (cmake_dir / "flags.cmake").write_text(
+            cases["fp-cmake-unsafe"] + cases["fp-cmake-contract"])
+        # Comments naming the flags, and value-safe settings, are fine.
+        (core_dir / "CMakeLists.txt").write_text(
+            "# never add -ffast-math here\n"
+            "add_compile_options(-ffp-contract=off)\n")
 
         linter = Linter(root)
         rc = linter.run()
@@ -523,6 +620,12 @@ def self_test() -> int:
                 ("span-funnel", "r.cpp"),
                 ("spatial-funnel", "s.cpp"),
                 ("protocol-literal", "3.3"),
+                ("fp-determinism", "t.cpp"),
+                ("fp-determinism", "u.cpp"),
+                ("fp-determinism", "-ffast-math"),
+                ("fp-determinism", "src/CMakeLists.txt"),
+                ("fp-determinism", "-funsafe-math-optimizations"),
+                ("fp-determinism", "-ffp-contract=fast"),
         ]:
             if not any(f"[{rule}]" in v and needle in v
                        for v in linter.violations):
@@ -552,6 +655,10 @@ def self_test() -> int:
                for v in linter.violations):
             failures.append(
                 "spatial-funnel fired inside the exempt index module")
+        if any(v.startswith("src/core/CMakeLists.txt:")
+               for v in linter.violations):
+            failures.append(
+                "fp-determinism fired on a CMake comment or a safe flag")
         # (match on the location prefix: the rule's advice text itself
         # names the exempt header)
         if any(v.startswith("src/util/thread_annotations.h:")

@@ -48,27 +48,29 @@ struct WaveComponent {
   double wavenumber = 0.0;   ///< rad/m (deep water: omega^2 / g)
   double direction_rad = 0.0;
   double phase = 0.0;        ///< random phase offset
-  /// cos/sin of direction_rad, computed once at construction so the
-  /// per-sample evaluation loops don't re-evaluate them (the hot path runs
-  /// them num_components times per sample).
-  double dir_cos = 1.0;
-  double dir_sin = 0.0;
 };
 
+/// Evaluation runs every component through one branchless struct-of-arrays
+/// loop (see wave_field.cpp for the sincos it uses and its error bound).
 class WaveField {
  public:
+  /// Largest phase bound, in radians, that evaluation accepts:
+  /// max_k * (|x| + |y|) + max_omega * |t| + 2*pi must not exceed it. The
+  /// kernel's range reduction is exact in its quadrant bits only while
+  /// |phase| * 2/pi < 2^51; 2^50 rad keeps a 2/pi margin. A 24 h trace at
+  /// 10 km from the origin stays below 10^7 rad.
+  static constexpr double kMaxPhaseRad = 0x1p50;
+
   /// Samples `config.num_components` components from `spectrum`.
   WaveField(const WaveSpectrum& spectrum, const WaveFieldConfig& config);
 
-  /// Surface elevation (m) at position `p` and time `t` (s).
+  /// Surface elevation (m) at position `p` and time `t` (s). Throws
+  /// InvalidArgument when (p, t) is non-finite or outside kMaxPhaseRad.
   double elevation(util::Vec2 p, double t) const;
 
   /// Surface particle acceleration at `p`, `t` (deep-water Airy theory,
-  /// evaluated at the mean surface level).
+  /// evaluated at the mean surface level). Same domain as elevation().
   Accel3 acceleration(util::Vec2 p, double t) const;
-
-  /// Vertical acceleration only (the component the detector uses).
-  double vertical_acceleration(util::Vec2 p, double t) const;
 
   const std::vector<WaveComponent>& components() const { return components_; }
 
@@ -77,7 +79,25 @@ class WaveField {
   double elevation_variance() const;
 
  private:
+  /// Returns (sum w_i sin(phase_i) cos(theta_i),
+  ///          sum w_i sin(phase_i) sin(theta_i),
+  ///          sum w_i cos(phase_i)) over the components.
+  Accel3 sum_components(util::Vec2 p, double t,
+                        const std::vector<double>& weight) const;
+
   std::vector<WaveComponent> components_;
+  // Kernel coefficients, one entry per component, padded with zero-weight
+  // entries to a whole number of accumulator lanes.
+  std::vector<double> kx_;         ///< k cos(theta)
+  std::vector<double> ky_;         ///< k sin(theta)
+  std::vector<double> omega_;
+  std::vector<double> phase_;
+  std::vector<double> w2a_;        ///< omega^2 A (acceleration weight)
+  std::vector<double> amplitude_;  ///< A (elevation weight)
+  std::vector<double> dir_cos_;
+  std::vector<double> dir_sin_;
+  double max_wavenumber_ = 0.0;
+  double max_omega_ = 0.0;
 };
 
 /// Draws a direction offset from a cos^{2s} spreading function centred on

@@ -20,37 +20,39 @@ Buoy::Buoy(const BuoyConfig& config) : config_(config), rng_(config.seed) {
 
 namespace {
 
-/// One exact Ornstein–Uhlenbeck step with stationary stddev `sigma` and
-/// time constant `tau`.
-double ou_step(double x, double dt, double tau, double sigma,
-               util::Rng& rng) {
-  const double decay = std::exp(-dt / tau);
-  const double noise_sd = sigma * std::sqrt(1.0 - decay * decay);
-  return x * decay + rng.normal(0.0, noise_sd);
+/// Decay factor of the exact Ornstein–Uhlenbeck step over `dt` with time
+/// constant `tau`.
+double ou_decay(double dt, double tau) { return std::exp(-dt / tau); }
+
+/// Noise stddev of that step for stationary stddev `sigma`.
+double ou_noise_sd(double decay, double sigma) {
+  return sigma * std::sqrt(1.0 - decay * decay);
 }
 
 }  // namespace
 
 void Buoy::step(double dt) {
   util::require(dt > 0.0, "Buoy::step: dt must be positive");
+  if (dt != ou_dt_) {
+    // Stationary per-axis drift sd at half the radius keeps the walk
+    // inside the mooring circle almost always; clamp as a hard guarantee.
+    drift_decay_ = ou_decay(dt, config_.drift_time_constant_s);
+    drift_noise_sd_ = ou_noise_sd(drift_decay_, config_.drift_radius_m / 2.0);
+    tilt_decay_ = ou_decay(dt, config_.tilt_time_constant_s);
+    tilt_noise_sd_ = ou_noise_sd(tilt_decay_, config_.tilt_stddev_rad);
+    ou_dt_ = dt;
+  }
   if (config_.drift_radius_m > 0.0) {
-    // Stationary per-axis sd at half the radius keeps the walk inside the
-    // mooring circle almost always; clamp as a hard guarantee.
-    const double sigma = config_.drift_radius_m / 2.0;
-    drift_.x = ou_step(drift_.x, dt, config_.drift_time_constant_s, sigma,
-                       rng_);
-    drift_.y = ou_step(drift_.y, dt, config_.drift_time_constant_s, sigma,
-                       rng_);
+    drift_.x = drift_.x * drift_decay_ + rng_.normal(0.0, drift_noise_sd_);
+    drift_.y = drift_.y * drift_decay_ + rng_.normal(0.0, drift_noise_sd_);
     const double r = drift_.norm();
     if (r > config_.drift_radius_m) {
       drift_ = drift_ * (config_.drift_radius_m / r);
     }
   }
   if (config_.tilt_stddev_rad > 0.0) {
-    roll_ = ou_step(roll_, dt, config_.tilt_time_constant_s,
-                    config_.tilt_stddev_rad, rng_);
-    pitch_ = ou_step(pitch_, dt, config_.tilt_time_constant_s,
-                     config_.tilt_stddev_rad, rng_);
+    roll_ = roll_ * tilt_decay_ + rng_.normal(0.0, tilt_noise_sd_);
+    pitch_ = pitch_ * tilt_decay_ + rng_.normal(0.0, tilt_noise_sd_);
   }
 }
 

@@ -35,7 +35,9 @@ class Buoy {
  public:
   explicit Buoy(const BuoyConfig& config);
 
-  /// Advances the internal drift/tilt state by dt seconds.
+  /// Advances the internal drift/tilt state by dt seconds. The
+  /// Ornstein–Uhlenbeck coefficients are cached for the last dt, since a
+  /// trace steps with one dt throughout.
   void step(double dt);
 
   /// Current (drifted) position on the surface.
@@ -54,6 +56,13 @@ class Buoy {
  private:
   BuoyConfig config_;
   util::Rng rng_;
+  // Ornstein–Uhlenbeck step x' = x * decay + N(0, noise_sd) for the dt
+  // of the last step() call.
+  double ou_dt_ = 0.0;
+  double drift_decay_ = 1.0;
+  double drift_noise_sd_ = 0.0;
+  double tilt_decay_ = 1.0;
+  double tilt_noise_sd_ = 0.0;
   util::Vec2 drift_;
   double roll_ = 0.0;
   double pitch_ = 0.0;

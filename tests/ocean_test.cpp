@@ -2,8 +2,12 @@
 // synthesis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
+#include <vector>
 
 #include "dsp/spectrum.h"
 #include "ocean/wave_field.h"
@@ -178,17 +182,132 @@ TEST(WaveFieldTest, VerticalAccelerationMatchesSecondDerivative) {
         (field.elevation(p, t + dt) - 2.0 * field.elevation(p, t) +
          field.elevation(p, t - dt)) /
         (dt * dt);
-    EXPECT_NEAR(field.vertical_acceleration(p, t), numeric, 0.05);
+    EXPECT_NEAR(field.acceleration(p, t).az, numeric, 0.05);
   }
 }
 
-TEST(WaveFieldTest, AccelerationStructMatchesScalarPath) {
+// Reference evaluation: one std::cos and std::sin per component, summed in
+// component order, as the field was evaluated before the vectorized kernel.
+struct DirectSum {
+  Accel3 accel;
+  double elevation = 0.0;
+};
+
+DirectSum direct_sum(const WaveField& field, util::Vec2 p, double t) {
+  DirectSum d;
+  for (const auto& c : field.components()) {
+    const double dir_x = std::cos(c.direction_rad);
+    const double dir_y = std::sin(c.direction_rad);
+    const double phase =
+        c.wavenumber * (dir_x * p.x + dir_y * p.y) - c.omega * t + c.phase;
+    const double w2a = c.omega * c.omega * c.amplitude_m;
+    d.accel.az -= w2a * std::cos(phase);
+    d.accel.ax += w2a * std::sin(phase) * dir_x;
+    d.accel.ay += w2a * std::sin(phase) * dir_y;
+    d.elevation += c.amplitude_m * std::cos(phase);
+  }
+  return d;
+}
+
+TEST(WaveFieldTest, MatchesDirectSumOverA300sTrace) {
+  // A buoy's whole trace: 300 s at 50 Hz, at a position drifting a few
+  // metres around its anchor, at every sea state.
+  for (const SeaState state :
+       {SeaState::kCalm, SeaState::kModerate, SeaState::kRough}) {
+    const auto spectrum = make_sea_spectrum(state);
+    const WaveField field(*spectrum, {});
+    double worst = 0.0;
+    for (int i = 0; i < 300 * 50; ++i) {
+      const double t = 0.02 * i;
+      const util::Vec2 p{140.0 + 2.0 * std::sin(0.011 * t),
+                         -60.0 + 1.5 * std::cos(0.017 * t)};
+      const DirectSum ref = direct_sum(field, p, t);
+      const Accel3 a = field.acceleration(p, t);
+      worst = std::max({worst, std::abs(a.ax - ref.accel.ax),
+                        std::abs(a.ay - ref.accel.ay),
+                        std::abs(a.az - ref.accel.az),
+                        std::abs(field.elevation(p, t) - ref.elevation)});
+    }
+    EXPECT_LE(worst, 1e-9) << sea_state_name(state);
+  }
+}
+
+TEST(WaveFieldTest, SingleComponentMatchesDirectSumInAllQuadrants) {
+  // One component, so every error shows unmasked by the others. Phases
+  // sweep all four quadrants: negative, at exact multiples of pi/2 (where
+  // the kernel's quadrant and sign selection switch), and large (t up to
+  // ~5e5 s, positions 10 km out).
+  const auto spectrum = make_sea_spectrum(SeaState::kModerate);
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    WaveFieldConfig cfg;
+    cfg.num_components = 1;
+    cfg.min_frequency_hz = 0.2;
+    cfg.max_frequency_hz = 2.0;
+    cfg.spreading_exponent = 0.0;  // any direction, all axis signs
+    cfg.seed = seed;
+    const WaveField field(*spectrum, cfg);
+    const WaveComponent& c = field.components().front();
+    const double dir_x = std::cos(c.direction_rad);
+    const double dir_y = std::sin(c.direction_rad);
+    const double w2a = c.omega * c.omega * c.amplitude_m;
+    for (const util::Vec2 p : {util::Vec2{0.0, 0.0},
+                               util::Vec2{-10000.0, 10000.0},
+                               util::Vec2{10000.0, -3700.0}}) {
+      const double kx = c.wavenumber * (dir_x * p.x + dir_y * p.y);
+      std::vector<double> times;
+      for (int m = -12; m <= 12; ++m) {
+        // Phase exactly at m * pi/2 (up to rounding), and just either side.
+        const double t = (kx + c.phase - m * std::numbers::pi / 2.0) / c.omega;
+        times.insert(times.end(), {t, std::nextafter(t, -1e9),
+                                   std::nextafter(t, 1e9), t + 1e-9});
+      }
+      for (double t = -1000.0; t < 5e5; t += 997.3) times.push_back(t);
+      for (const double t : times) {
+        // Both evaluations round the phase's terms differently, so the
+        // bound scales with the ulp of the largest of them.
+        const double scale = std::abs(c.wavenumber * dir_x * p.x) +
+                             std::abs(c.wavenumber * dir_y * p.y) +
+                             std::abs(c.omega * t) + c.phase + 1.0;
+        const double tol = 8.0 * kEps * scale;
+        const DirectSum ref = direct_sum(field, p, t);
+        const Accel3 a = field.acceleration(p, t);
+        EXPECT_NEAR(a.az, ref.accel.az, w2a * tol) << "t=" << t;
+        EXPECT_NEAR(a.ax, ref.accel.ax, w2a * tol) << "t=" << t;
+        EXPECT_NEAR(a.ay, ref.accel.ay, w2a * tol) << "t=" << t;
+        EXPECT_NEAR(field.elevation(p, t), ref.elevation,
+                    c.amplitude_m * tol)
+            << "t=" << t;
+      }
+    }
+  }
+}
+
+TEST(WaveFieldTest, RejectsNonFiniteAndOutOfDomainInputs) {
   const auto spectrum = make_sea_spectrum(SeaState::kModerate);
   const WaveField field(*spectrum, {});
-  const util::Vec2 p{1.0, 2.0};
-  for (double t : {0.0, 7.7, 31.4}) {
-    EXPECT_NEAR(field.acceleration(p, t).az, field.vertical_acceleration(p, t),
-                1e-12);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(field.acceleration({0.0, 0.0}, nan), util::InvalidArgument);
+  EXPECT_THROW(field.elevation({0.0, 0.0}, nan), util::InvalidArgument);
+  EXPECT_THROW(field.acceleration({nan, 0.0}, 1.0), util::InvalidArgument);
+  EXPECT_THROW(field.acceleration({0.0, -inf}, 1.0), util::InvalidArgument);
+  // Past the range reduction's domain (WaveField::kMaxPhaseRad).
+  EXPECT_THROW(field.acceleration({0.0, 0.0}, 1e15), util::InvalidArgument);
+  EXPECT_THROW(field.elevation({0.0, 0.0}, -1e15), util::InvalidArgument);
+  EXPECT_THROW(field.acceleration({1e15, 0.0}, 0.0), util::InvalidArgument);
+}
+
+TEST(WaveFieldTest, AcceptsADayLongTrace) {
+  const auto spectrum = make_sea_spectrum(SeaState::kRough);
+  const WaveField field(*spectrum, {});
+  const util::Vec2 p{10000.0, -10000.0};
+  for (const double t : {0.0, 3600.0, 86400.0}) {
+    Accel3 a;
+    ASSERT_NO_THROW(a = field.acceleration(p, t));
+    const DirectSum ref = direct_sum(field, p, t);
+    EXPECT_NEAR(a.az, ref.accel.az, 1e-9) << "t=" << t;
+    EXPECT_NEAR(field.elevation(p, t), ref.elevation, 1e-9) << "t=" << t;
   }
 }
 
@@ -297,8 +416,6 @@ TEST(SpreadingTest, WaveFieldBuildsAtExtremeExponent) {
   for (const auto& c : field.components()) {
     // Nearly unidirectional: every component close to the mean direction.
     EXPECT_NEAR(c.direction_rad, cfg.mean_direction_rad, 0.2);
-    EXPECT_EQ(c.dir_cos, std::cos(c.direction_rad));
-    EXPECT_EQ(c.dir_sin, std::sin(c.direction_rad));
   }
 }
 
