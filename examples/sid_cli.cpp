@@ -4,9 +4,9 @@
 //   sid_cli simulate --out trace.sidb [--ship-knots 10] [--cpa 25]
 //                    [--duration 240] [--sea calm|moderate|rough]
 //                    [--seed 1] [--csv]
-//   sid_cli detect --in trace.sidb [--m 2.0] [--af 0.5]
+//   sid_cli detect --in trace.sidb [--m 2.0] [--af 0.6]
 //   sid_cli scenario [--ship-knots 10] [--heading 88] [--rows 6]
-//                    [--cols 6] [--seed 1] [--threads 1] [--shards 0]
+//                    [--cols 6] [--seed 1] [--threads 1]
 //                    [--metrics-out metrics.json]
 //                    [--trace-out trace.jsonl] [--trace-categories net,sink]
 //                    [--telemetry-out telemetry.jsonl]
@@ -17,7 +17,14 @@
 // --csv); `detect` runs the paper's node-level detector over any trace
 // file (including converted real recordings); `scenario` runs the whole
 // distributed pipeline and prints the sink log.
+//
+// Options left out take the library's defaults (core::NodeDetectorConfig,
+// wsn::NetworkConfig, core::ScenarioConfig); the bracketed values above
+// are those defaults. Counts and seeds must be non-negative integers.
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -53,7 +60,28 @@ struct Args {
   }
   double num(const std::string& name, double fallback) const {
     auto it = options.find(name);
-    return it == options.end() ? fallback : std::stod(it->second);
+    if (it == options.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0') {
+      throw util::InvalidArgument("--" + name + ": not a number: " +
+                                  it->second);
+    }
+    return value;
+  }
+  /// A count or seed. Negative, fractional and non-finite input is
+  /// rejected here: a static_cast to an unsigned type is undefined for it.
+  /// The 2^53 cap keeps every accepted value exact in a double.
+  std::uint64_t count(const std::string& name, std::uint64_t fallback) const {
+    if (!options.contains(name)) return fallback;
+    const double value = num(name, 0.0);
+    if (!(value >= 0.0 && value <= 0x1p53 && value == std::floor(value))) {
+      throw util::InvalidArgument("--" + name +
+                                  " must be a non-negative integer, got " +
+                                  options.at(name));
+    }
+    return static_cast<std::uint64_t>(value);
   }
 };
 
@@ -89,7 +117,7 @@ int cmd_simulate(const Args& args) {
   const double cpa = args.num("cpa", 25.0);
   const double duration = args.num("duration", 240.0);
   const auto sea = parse_sea(args.str("sea", "calm"));
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 1.0));
+  const std::uint64_t seed = args.count("seed", 1);
 
   const auto spectrum = ocean::make_sea_spectrum(sea);
   ocean::WaveFieldConfig field_cfg;
@@ -137,8 +165,9 @@ int cmd_detect(const Args& args) {
 
   core::NodeDetectorConfig cfg;
   cfg.sample_rate_hz = trace.sample_rate_hz;
-  cfg.threshold_multiplier_m = args.num("m", 2.0);
-  cfg.anomaly_frequency_threshold = args.num("af", 0.5);
+  cfg.threshold_multiplier_m = args.num("m", cfg.threshold_multiplier_m);
+  cfg.anomaly_frequency_threshold =
+      args.num("af", cfg.anomaly_frequency_threshold);
   core::NodeDetector detector(cfg);
   const auto alarms = detector.process_trace(trace);
   if (alarms.empty()) {
@@ -169,20 +198,21 @@ int cmd_detect(const Args& args) {
 
 int cmd_scenario(const Args& args) {
   core::SidSystemConfig cfg;
-  cfg.network.rows = static_cast<std::size_t>(args.num("rows", 6.0));
-  cfg.network.cols = static_cast<std::size_t>(args.num("cols", 6.0));
-  cfg.scenario.seed = static_cast<std::uint64_t>(args.num("seed", 1.0));
+  cfg.network.rows = args.count("rows", cfg.network.rows);
+  cfg.network.cols = args.count("cols", cfg.network.cols);
+  cfg.scenario.seed = args.count("seed", cfg.scenario.seed);
+  // The ship starts 400 m out, so the run is longer than the library's
+  // default trace.
   cfg.scenario.trace.duration_s = args.num("duration", 300.0);
-  cfg.scenario.detector.threshold_multiplier_m = args.num("m", 2.0);
-  cfg.scenario.detector.anomaly_frequency_threshold = args.num("af", 0.5);
+  auto& detector = cfg.scenario.detector;
+  detector.threshold_multiplier_m =
+      args.num("m", detector.threshold_multiplier_m);
+  detector.anomaly_frequency_threshold =
+      args.num("af", detector.anomaly_frequency_threshold);
   // Worker threads for the synthesis/detection front end. Results are
   // bit-identical at any count (core/scenario.h), so this is purely a
   // wall-clock knob.
-  cfg.scenario.threads = static_cast<std::size_t>(args.num("threads", 1.0));
-  // Spatial shards for the network's beacon plane. 0 = legacy engine;
-  // K >= 1 runs the windowed sharded engine, bit-identical for every K
-  // (CI byte-compares --shards 1 vs 4, like --threads above).
-  cfg.network.shards = static_cast<std::size_t>(args.num("shards", 0.0));
+  cfg.scenario.threads = args.count("threads", cfg.scenario.threads);
 
   const double knots = args.num("ship-knots", 10.0);
   const double heading = args.num("heading", 88.0);
@@ -296,7 +326,7 @@ int main(int argc, char** argv) {
                "[--csv]\n"
                "  detect   --in FILE [--m M] [--af F]\n"
                "  scenario [--ship-knots N] [--heading DEG] [--rows R] "
-               "[--cols C] [--seed N] [--threads T] [--shards K] "
+               "[--cols C] [--seed N] [--threads T] "
                "[--metrics-out FILE] "
                "[--trace-out FILE] [--trace-categories LIST] "
                "[--telemetry-out FILE] [--telemetry-interval S] "

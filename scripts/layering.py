@@ -37,10 +37,9 @@ Replaces regex-only layering discipline with a real dependency check
                      header is cross-layer shared mutable state outside
                      every locking funnel. Banned.
 
-The mutation-idiom checks use libclang (AST-grade, sees through macros)
-when the python bindings are importable, and a token-level fallback
-otherwise — same rules, same escapes, so results only get stricter when
-clang is present.
+The mutation-idiom checks are one token-level pass over each src/ line
+with comments and literals blanked; a cast assembled by a macro is out of
+its reach.
 
 A line can opt out of one rule with a trailing `// layering:allow <rule>`.
 `--self-test` plants one violation per rule in a temp tree and verifies
@@ -156,11 +155,9 @@ class Manifest:
 
 class Analyzer:
     def __init__(self, root: Path, manifest: Manifest,
-                 compile_commands: Path | None,
-                 force_fallback: bool = False):
+                 compile_commands: Path | None):
         self.root = root
         self.manifest = manifest
-        self.force_fallback = force_fallback
         self.violations: list[str] = []
         self.include_dirs = self._include_dirs(compile_commands)
         # file (repo-relative Path) -> list[(lineno, target rel Path)]
@@ -358,8 +355,7 @@ class Analyzer:
 
     def _check_mutation_tokens(self, rel: Path, lineno: int, code: str,
                                allowed: set[str]):
-        """Token-level cross-layer mutation checks (src/ only). The
-        libclang pass re-checks the same rules AST-grade when available."""
+        """Token-level cross-layer mutation checks (src/ only)."""
         if rel.parts[0] != "src":
             return
         if "const-cast" not in allowed:
@@ -380,52 +376,6 @@ class Analyzer:
                 f"header is cross-layer shared mutable state outside "
                 f"every locking funnel")
 
-    def run_libclang(self) -> bool:
-        """AST-grade const_cast check via libclang; True when it ran. The
-        token pass above already reported — this pass only *adds* findings
-        the tokens missed (casts assembled by macros)."""
-        if self.force_fallback:
-            return False
-        try:
-            from clang import cindex  # type: ignore
-            index = cindex.Index.create()
-        except Exception:
-            return False
-        for path in self.files():
-            rel = path.relative_to(self.root)
-            if rel.parts[0] != "src":
-                continue
-            try:
-                tu = index.parse(
-                    str(path),
-                    args=[f"-I{d}" for d in self.include_dirs]
-                    + ["-std=c++20"])
-            except Exception:
-                continue
-            lines = path.read_text(errors="replace").splitlines()
-            for cursor in tu.cursor.walk_preorder():
-                if cursor.kind != cindex.CursorKind.CXX_CONST_CAST_EXPR:
-                    continue
-                if cursor.location.file is None:
-                    continue
-                if Path(cursor.location.file.name).resolve() != path:
-                    continue
-                lineno = cursor.location.line
-                raw = lines[lineno - 1] if lineno <= len(lines) else ""
-                if "const-cast" in set(ALLOW_RE.findall(raw)):
-                    continue
-                if SELF_DELEGATION_RE.search(raw):
-                    continue
-                finding = (f"{rel.as_posix()}:{lineno}: [const-cast] "
-                           f"const_cast (AST) outside the const-overload "
-                           f"delegation idiom")
-                already = any(v.startswith(f"{rel.as_posix()}:{lineno}:")
-                              and "[const-cast]" in v
-                              for v in self.violations)
-                if not already:
-                    self.violations.append(finding)
-        return True
-
     # --------------------------------------------------------------- driver
 
     def run(self) -> int:
@@ -445,19 +395,17 @@ class Analyzer:
             self.scan_file(f)
         self.check_edges()
         self.check_cycles()
-        ast = self.run_libclang()
-        return self.finish(len(files), ast)
+        return self.finish(len(files))
 
-    def finish(self, nfiles: int, ast: bool = False) -> int:
+    def finish(self, nfiles: int) -> int:
         if self.violations:
             for v in sorted(set(self.violations)):
                 print(v, file=sys.stderr)
             print(f"layering.py: {len(set(self.violations))} violation(s) "
                   f"in {nfiles} files", file=sys.stderr)
             return 1
-        mode = "libclang AST + tokens" if ast else "token fallback"
         print(f"layering.py: OK ({nfiles} files, include graph + layer DAG "
-              f"clean, mutation checks via {mode})")
+              f"and mutation idioms clean)")
         return 0
 
 
@@ -518,7 +466,7 @@ def self_test() -> int:
         _write(root / "tests/ok_test.cpp", '#include "util/rng.h"\n')
         _write(root / "tests/bad_test.cpp", '#include "bench/fixture.h"\n')
 
-        analyzer = Analyzer(root, manifest, None, force_fallback=True)
+        analyzer = Analyzer(root, manifest, None)
         rc = analyzer.run()
         if rc != 1:
             failures.append(f"expected exit 1, got {rc}")
@@ -550,7 +498,7 @@ def self_test() -> int:
 
         # A cyclic manifest must fail before any file is read.
         bad = Manifest({"a": ["b"], "b": ["a"]}, {})
-        cyclic = Analyzer(root, bad, None, force_fallback=True)
+        cyclic = Analyzer(root, bad, None)
         if cyclic.run() != 1 or not any(
                 "[manifest-cycle]" in v for v in cyclic.violations):
             failures.append("manifest-cycle not detected")
@@ -563,8 +511,7 @@ def self_test() -> int:
                "void f(const int* p) {\n"
                "  *const_cast<int*>(p) = 1;  // layering:allow const-cast\n"
                "}\n")
-        clean = Analyzer(root, Manifest({"util": []}, {}), None,
-                         force_fallback=True)
+        clean = Analyzer(root, Manifest({"util": []}, {}), None)
         if clean.run() != 0:
             failures.append("clean tree with layering:allow did not pass: "
                             + "\n".join(clean.violations))
@@ -588,9 +535,6 @@ def main() -> int:
                         help="compilation database for include dirs "
                              "(default: <root>/build/compile_commands.json "
                              "when present)")
-    parser.add_argument("--force-fallback", action="store_true",
-                        help="skip libclang even when importable "
-                             "(token-level checks only)")
     parser.add_argument("--self-test", action="store_true",
                         help="verify every rule fires on a planted violation")
     args = parser.parse_args()
@@ -607,8 +551,7 @@ def main() -> int:
         conventional = root / "build" / "compile_commands.json"
         db = conventional if conventional.is_file() else None
     try:
-        analyzer = Analyzer(root, Manifest.load(manifest_path), db,
-                            force_fallback=args.force_fallback)
+        analyzer = Analyzer(root, Manifest.load(manifest_path), db)
         return analyzer.run()
     except RuntimeError as err:
         print(f"layering.py: {err}", file=sys.stderr)

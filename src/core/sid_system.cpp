@@ -876,8 +876,8 @@ SystemResult SidSystem::run(std::span<const wake::ShipTrackConfig> ships) {
         active_s * config_.scenario.trace.sample_rate_hz));
   }
 
-  // Legacy engine or the sharded windowed engine, per
-  // NetworkConfig::shards (run_events dispatches).
+  // Drain the event queue: reports, invites, decisions, beacons and any
+  // scheduled faults or attacks, to completion.
   network_.run_events();
 
   // Detection outcomes against ground truth (observability only): each

@@ -21,7 +21,6 @@ constexpr std::array<std::string_view,
         "event_dispatch",
         "fusion",
         "adjacency",
-        "shard_window",
     }};
 
 /// Log-spaced 1-2-5 nanosecond buckets, 1 us .. 10 s.

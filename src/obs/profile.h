@@ -36,7 +36,6 @@ enum class Stage : std::size_t {
   kEventDispatch,  ///< one event-queue callback (wsn/event_queue)
   kFusion,         ///< multi-modal accel+acoustic fusion (core/fusion)
   kAdjacency,      ///< spatial-index adjacency build (wsn/network)
-  kShardWindow,    ///< one sharded-engine barrier window (wsn/network)
   kCount,
 };
 

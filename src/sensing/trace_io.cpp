@@ -145,8 +145,30 @@ SensorTrace read_trace_binary(const std::string& path) {
   const auto samples = get<std::uint64_t>(in);
   const auto intervals = get<std::uint64_t>(in);
   util::require(in.good(), "read_trace_binary: truncated header in " + path);
-  util::require(trace.sample_rate_hz > 0.0,
+  util::require(std::isfinite(trace.sample_rate_hz) &&
+                    trace.sample_rate_hz > 0.0,
                 "read_trace_binary: bad sample rate in " + path);
+  util::require(std::isfinite(trace.start_time_s),
+                "read_trace_binary: bad start time in " + path);
+
+  // The header counts come from outside the process: bound each by the
+  // bytes actually left in the file before it sizes an allocation or a
+  // loop. Samples first, so 12 * samples cannot overflow below.
+  const std::streamoff header_end = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(header_end);
+  util::require(header_end >= 0 && file_end >= header_end && in.good(),
+                "read_trace_binary: cannot size " + path);
+  const auto remaining = static_cast<std::uint64_t>(file_end - header_end);
+  constexpr std::uint64_t kSampleBytes = 3 * sizeof(float);
+  constexpr std::uint64_t kIntervalBytes = 2 * sizeof(double);
+  util::require(samples <= remaining / kSampleBytes,
+                "read_trace_binary: sample count exceeds file size in " +
+                    path);
+  util::require(
+      intervals <= (remaining - kSampleBytes * samples) / kIntervalBytes,
+      "read_trace_binary: wake-interval count exceeds file size in " + path);
 
   for (auto* axis : {&trace.x, &trace.y, &trace.z}) {
     axis->resize(samples);

@@ -37,11 +37,6 @@ std::size_t EventQueue::run_until(double t_end) {
   return executed;
 }
 
-double EventQueue::next_time() const {
-  util::require(!heap_.empty(), "EventQueue::next_time: queue is empty");
-  return heap_.top().time;
-}
-
 std::size_t EventQueue::run_all() {
   std::size_t executed = 0;
   while (!heap_.empty()) {

@@ -36,9 +36,6 @@ class EventQueue {
 
   bool empty() const { return heap_.empty(); }
   std::size_t pending() const { return heap_.size(); }
-  /// Time of the next pending event (requires !empty()). The sharded
-  /// engine's barrier uses it to pick each window's start.
-  double next_time() const;
   /// Total events executed over this queue's lifetime (observability:
   /// mirrored into the metrics registry as "sim.events_executed").
   std::uint64_t executed_total() const { return executed_total_; }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <queue>
 #include <string_view>
 #include <unordered_set>
@@ -127,7 +126,6 @@ Network::Network(const NetworkConfig& config)
   build_grid();
   build_adjacency();
   if (config_.routing == RoutingMode::kSelfHealing) boot_discovery();
-  if (config_.shards > 0) build_shards();
   if (!config_.attacks.empty()) {
     util::require(config_.routing == RoutingMode::kSelfHealing,
                   "Network: the attack layer requires self-healing routing");
@@ -356,20 +354,6 @@ void Network::start_beacons(double until_s) {
   util::require(period > 0.0, "Network: beacon period must be positive");
   // Stagger first beacons uniformly over one period so the field
   // desynchronizes from the start (randomized jitter keeps it so).
-  if (!shards_.empty()) {
-    // Sharded engine: each node's offset comes from its own derived
-    // stream and its tick lives on its owner shard's lane, so the
-    // schedule is a function of the node alone — identical for every
-    // shard count (DESIGN.md §5l).
-    for (const NodeInfo& info : nodes_) {
-      const NodeId id = info.id;
-      const std::size_t s = node_shard_[id];
-      const double offset = node_rngs_[id].uniform(0.0, period);
-      shards_[s].lane.schedule_at(
-          now + offset, [this, s, id] { sharded_beacon_tick(s, id); });
-    }
-    return;
-  }
   for (const NodeInfo& info : nodes_) {
     const NodeId id = info.id;
     const double offset = beacon_rng_.uniform(0.0, period);
@@ -421,166 +405,10 @@ void Network::beacon_tick(NodeId id) {
   }
 }
 
-void Network::build_shards() {
-  const std::size_t k = config_.shards;
-  shards_.resize(k);
-  node_shard_.assign(nodes_.size(), 0);
-  // Contiguous-id stripes (row-major deployment => row stripes): shard s
-  // owns [s*N/K, (s+1)*N/K). The mapping only decides which lane runs a
-  // node's ticks — every draw the tick makes comes from the node's own
-  // stream, so the mapping never shows up in the results.
-  for (std::size_t s = 0; s < k; ++s) {
-    shards_[s].begin = static_cast<NodeId>(s * nodes_.size() / k);
-    shards_[s].end = static_cast<NodeId>((s + 1) * nodes_.size() / k);
-    for (NodeId id = shards_[s].begin; id < shards_[s].end; ++id) {
-      node_shard_[id] = s;
-    }
-  }
-  // Per-node beacon streams: sub-stream 1 + id under the beacon seed.
-  // Stream 0 is beacon_rng_ (boot discovery), which stays shared because
-  // it runs serially at construction for every shard count.
-  node_rngs_.reserve(nodes_.size());
-  const std::uint64_t beacon_seed =
-      util::derive_seed(config_.seed, kBeaconStream);
-  for (std::size_t id = 0; id < nodes_.size(); ++id) {
-    node_rngs_.emplace_back(beacon_seed, 1 + id);
-  }
-}
-
-void Network::sharded_beacon_tick(std::size_t s, NodeId id) {
-  Shard& shard = shards_[s];
-  const double t = shard.lane.now();
-  // Crash-stop / depletion: a dead node falls silent for good. Energy
-  // state is frozen during phase A (spends happen at commit), so every
-  // shard sees the same window-start snapshot.
-  if (!node_operational(id, t)) return;
-  BeaconTickRecord rec;
-  rec.t = t;
-  rec.sender = id;
-  // The sweep mutates only the sender's own table, which this shard owns.
-  rec.suspects = tables_[id].sweep(t);
-  const double extra_loss = radio_.config().extra_loss_probability;
-  for (const NodeId v : adjacency_[id]) {
-    if (!node_operational(v, t)) continue;  // dead radios hear nothing
-    const double d = util::distance(nodes_[id].anchor, nodes_[v].anchor);
-    const double p = radio_.prr(d) * (1.0 - extra_loss);
-    // Reception sampling from the sender's own stream (PRR and static
-    // extra loss). The *shared* fault streams (congestion windows,
-    // Gilbert-Elliott chains) are applied at commit, in canonical order.
-    if (!node_rngs_[id].bernoulli(p)) continue;
-    if (!qview_.empty() && qview_[v][id] != 0) continue;
-    rec.receivers.push_back(v);
-  }
-  shard.records.push_back(std::move(rec));
-  const double next =
-      t + config_.neighbor.beacon_period_s +
-      node_rngs_[id].uniform(0.0, config_.neighbor.beacon_jitter_s);
-  if (next <= beacons_until_) {
-    shard.lane.schedule_at(next, [this, s, id] { sharded_beacon_tick(s, id); });
-  }
-}
-
-void Network::commit_beacon_records() {
-  // Canonical commit order: (time, sender). At most one tick per sender
-  // per instant, so the order — and with it every counter bump, energy
-  // spend, shared fault-stream draw and table update — is a pure function
-  // of the record set, never of the shard count that produced it.
-  std::vector<const BeaconTickRecord*> order;
-  for (const Shard& shard : shards_) {
-    for (const BeaconTickRecord& rec : shard.records) order.push_back(&rec);
-  }
-  std::sort(order.begin(), order.end(),
-            [](const BeaconTickRecord* a, const BeaconTickRecord* b) {
-              if (a->t != b->t) return a->t < b->t;
-              return a->sender < b->sender;
-            });
-  const std::size_t bytes = config_.neighbor.beacon_bytes;
-  for (const BeaconTickRecord* rec : order) {
-    for (const NodeId suspect : rec->suspects) {
-      note_suspicion(rec->sender, suspect, rec->t);
-    }
-    counters_.beacons_sent.add();
-    nodes_[rec->sender].energy.spend_tx(bytes);
-    counters_.bytes_sent.add(bytes);
-    for (const NodeId v : rec->receivers) {
-      if (faults_.active()) {
-        if (faults_.congestion_drops(rec->t)) {
-          counters_.congestion_losses.add();
-          continue;
-        }
-        if (faults_.burst_drops(rec->sender, v)) {
-          counters_.burst_losses.add();
-          continue;
-        }
-      }
-      nodes_[v].energy.spend_rx(bytes);
-      counters_.beacon_receptions.add();
-      if (tables_[v].on_beacon(rec->sender, rec->t)) {
-        note_false_suspicion(v, rec->sender, rec->t);
-      }
-    }
-  }
-}
-
-std::size_t Network::run_events() {
-  if (config_.shards == 0) return events_.run_all();
-  return run_events_sharded();
-}
-
-std::size_t Network::run_events_sharded() {
-  SID_CHECK(!shards_.empty(), "Network::run_events_sharded: no shards");
-  // Conservative lookahead: no cross-node effect can propagate faster
-  // than the fixed part of the hop delay (the exponential jitter only
-  // adds to it), so events inside [t0, t0 + W] on different shards are
-  // causally independent and may run speculatively.
-  const double lookahead = radio_.config().hop_delay_fixed_s;
-  SID_CHECK(lookahead > 0.0, "Network: sharded engine needs a positive "
-                             "minimum link latency for its lookahead");
-  if (shard_pool_ == nullptr && config_.shards > 1) {
-    // One worker per shard, capped at the hardware width. The cap (like
-    // the pool itself) only decides who computes — never what.
-    shard_pool_ = std::make_unique<util::ThreadPool>(
-        std::min(config_.shards, util::hardware_threads()));
-  }
-  std::size_t executed = 0;
-  for (;;) {
-    // Window start = earliest pending event across all lanes and the
-    // global queue; identical for every shard count because the union of
-    // pending events is.
-    double t0 = std::numeric_limits<double>::infinity();
-    if (!events_.empty()) t0 = std::min(t0, events_.next_time());
-    for (const Shard& shard : shards_) {
-      if (!shard.lane.empty()) t0 = std::min(t0, shard.lane.next_time());
-    }
-    if (t0 == std::numeric_limits<double>::infinity()) break;
-    const double window_end = t0 + lookahead;
-    SID_PROFILE_STAGE(obs::Stage::kShardWindow);
-    // Phase A: each shard speculatively runs its lane through the
-    // window, drawing only from per-node streams and mutating only
-    // shard-owned state; cross-node effects land in per-shard outboxes.
-    std::vector<std::size_t> lane_executed(shards_.size(), 0);
-    util::parallel_for(shard_pool_.get(), shards_.size(),
-                       [this, window_end, &lane_executed](std::size_t s) {
-                         shards_[s].records.clear();
-                         if (shards_[s].lane.now() <= window_end) {
-                           lane_executed[s] =
-                               shards_[s].lane.run_until(window_end);
-                         }
-                       });
-    for (const std::size_t n : lane_executed) executed += n;
-    // Phase B: serial commit in canonical (time, sender) order.
-    commit_beacon_records();
-    // Phase C: the global queue (data path, attacks, telemetry) runs the
-    // same window serially.
-    executed += events_.run_until(window_end);
-  }
-  return executed;
-}
+std::size_t Network::run_events() { return events_.run_all(); }
 
 std::size_t Network::events_executed_total() const {
-  std::size_t total = events_.executed_total();
-  for (const Shard& shard : shards_) total += shard.lane.executed_total();
-  return total;
+  return events_.executed_total();
 }
 
 std::optional<std::vector<NodeId>> Network::shortest_path(NodeId from,

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -20,7 +19,6 @@
 #include "obs/recorder.h"
 #include "obs/trace.h"
 #include "util/geometry.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 #include "wsn/clock.h"
 #include "wsn/defense.h"
@@ -120,15 +118,6 @@ struct NetworkConfig {
   /// unroutable — see the kNoParent note in wsn/messages.h). SidSystem
   /// stations its sink at grid (0, 0), hence the default.
   NodeId sink_node = 0;
-  /// Spatial shards for the beacon plane (ROADMAP #1). 0 = legacy
-  /// single-queue engine, byte-identical to all historical baselines.
-  /// K >= 1 selects the windowed sharded engine: the field is striped
-  /// into K contiguous-id slices, each with its own event-queue lane and
-  /// per-node derived RNG streams, synchronized through a conservative
-  /// time-windowed barrier (lookahead = min link latency). Runs are
-  /// bit-identical for every K >= 1 (shards=1 is the serial reference);
-  /// see DESIGN.md §5l for the contract.
-  std::size_t shards = 0;
 };
 
 /// Network-layer statistics. Since the observability PR this struct is a
@@ -213,13 +202,11 @@ class Network {
   EventQueue& events() { return events_; }
   const NetworkConfig& config() const { return config_; }
 
-  /// Runs the simulation to completion: EventQueue::run_all in the
-  /// legacy engine (shards == 0), the windowed sharded engine otherwise.
-  /// Returns the number of events executed (all lanes + global queue).
+  /// Runs the simulation to completion (EventQueue::run_all). Returns the
+  /// number of events executed.
   std::size_t run_events();
 
-  /// Events executed so far across the global queue and all shard lanes.
-  /// Equals events().executed_total() in the legacy engine.
+  /// Events executed so far (events().executed_total()).
   std::size_t events_executed_total() const;
 
   /// The node kSinkId-addressed messages resolve to.
@@ -357,37 +344,6 @@ class Network {
   NodeId resolve_address(NodeId id) const {
     return id == kSinkId ? config_.sink_node : id;
   }
-  /// Sharded engine (NetworkConfig::shards >= 1) -------------------------
-  /// One cross-node interaction computed speculatively inside a shard
-  /// window: a node's beacon broadcast plus the fresh suspicions its
-  /// table sweep raised. Committed serially in canonical (time, sender)
-  /// order, which makes the result independent of the shard count.
-  struct BeaconTickRecord {
-    double t = 0.0;
-    NodeId sender = 0;
-    /// Fresh suspicions raised by the pre-broadcast table sweep.
-    std::vector<NodeId> suspects;
-    /// Neighbors that sampled a successful reception (operational and
-    /// un-quarantined at window start); fault-stream loss is applied at
-    /// commit so the shared Gilbert–Elliott chains advance canonically.
-    std::vector<NodeId> receivers;
-  };
-  struct Shard {
-    NodeId begin = 0;  ///< first owned node id
-    NodeId end = 0;    ///< one past the last owned node id
-    EventQueue lane;   ///< beacon-plane events of the owned slice
-    std::vector<BeaconTickRecord> records;  ///< window outbox
-  };
-  /// Builds shard stripes, per-node RNG streams and the worker pool.
-  void build_shards();
-  /// Phase-A beacon tick inside shard `s`: draws only from the sender's
-  /// own derived stream, mutates only the sender's table, and appends the
-  /// cross-node effects to the shard's outbox.
-  void sharded_beacon_tick(std::size_t s, NodeId id);
-  /// Commits one window's outboxes in canonical (time, sender) order.
-  void commit_beacon_records();
-  /// The windowed barrier loop (run_events dispatches here).
-  std::size_t run_events_sharded();
   /// Routing dispatch: oracle BFS or learned-table ETX Dijkstra.
   std::optional<std::vector<NodeId>> shortest_path(NodeId from, NodeId to,
                                                    double t) const;
@@ -498,18 +454,6 @@ class Network {
   /// v sits within radio range of replay attacker i (precomputed via the
   /// spatial index; replaces the per-hop O(N) distance scan).
   std::vector<std::vector<std::uint8_t>> replay_hearing_;
-  /// Sharded engine state (empty when shards == 0).
-  std::vector<Shard> shards_;
-  /// Owning shard of each node (sharded engine only).
-  std::vector<std::size_t> node_shard_;
-  /// Per-node beacon RNG streams: node i draws reception samples and tick
-  /// jitter from Rng(derive_seed(master, kBeaconStream'), 1 + i), making
-  /// the draw sequence a function of the node alone — never of the shard
-  /// count or interleaving.
-  std::vector<util::Rng> node_rngs_;
-  /// Fixed worker pool for phase A (created lazily on the first sharded
-  /// run; one worker per shard, capped at the hardware concurrency).
-  std::unique_ptr<util::ThreadPool> shard_pool_;
   /// Per-node learned link state (self-healing mode; empty otherwise).
   std::vector<NeighborTable> tables_;
   /// All beacon randomness (boot sampling, jitter) draws from this

@@ -439,18 +439,15 @@ TEST(DeterminismTest, FusedMultiModalRunIsReproducibleAcrossThreads) {
   EXPECT_EQ(serial.flightrec, parallel.flightrec);
 }
 
-// ------------------------------------------- sharded engine (§5l)
+// ------------------------------------------------- full fault menu
 //
-// NetworkConfig::shards partitions the beacon plane into per-shard event
-// lanes synchronized through a conservative time-windowed barrier; the
-// contract is the same one §5g established for the thread pool: any
-// shard count reproduces the shards=1 reference bit for bit, artifacts
-// included. The workload is the §5k fused multi-modal run with attacks
-// AND the full fault menu (crash, congestion windows, channel-wide
-// Gilbert–Elliott bursts) so the commit path's shared fault-stream
-// draws, suspicion traces and energy spends are all exercised.
+// The §5k fused multi-modal run with attacks AND the full fault menu
+// (crash, congestion windows, channel-wide Gilbert–Elliott bursts), so
+// shared fault-stream draws, suspicion traces and energy spends all sit
+// on the path the thread-count contract of §5g covers: any worker count
+// reproduces the serial run bit for bit, artifacts included.
 
-TEST(DeterminismTest, FusedFaultedAttackedRunIsReproducibleAcrossShards) {
+TEST(DeterminismTest, FusedFaultedAttackedRunIsReproducibleAcrossThreads) {
   const std::vector<wake::ShipTrackConfig> ships{crossing_ship()};
 
   struct Run {
@@ -461,9 +458,9 @@ TEST(DeterminismTest, FusedFaultedAttackedRunIsReproducibleAcrossShards) {
     std::string flightrec;
     core::SystemResult result;
   };
-  const auto run_sharded = [&ships](std::size_t shards) {
+  const auto run_faulted = [&ships](std::size_t threads) {
     auto cfg = fused_attacked_config(1);
-    cfg.network.shards = shards;
+    cfg.scenario.threads = threads;
     wsn::NodeCrash crash;
     crash.node = 21;
     crash.time_s = 60.0;
@@ -495,30 +492,24 @@ TEST(DeterminismTest, FusedFaultedAttackedRunIsReproducibleAcrossShards) {
     return run;
   };
 
-  const Run reference = run_sharded(1);
+  const Run serial = run_faulted(1);
   // Non-vacuity: beacons, both modalities, the attacks and every fault
-  // class must actually fire, otherwise shard-equality proves nothing.
-  ASSERT_GT(reference.result.network_stats.beacons_sent, 0u);
-  ASSERT_GT(reference.result.network_stats.beacon_receptions, 0u);
-  ASSERT_GT(reference.result.network_stats.suspicions, 0u);
-  ASSERT_GT(reference.result.network_stats.congestion_losses, 0u);
-  ASSERT_GT(reference.result.network_stats.burst_losses, 0u);
-  ASSERT_GT(reference.result.network_stats.attack_forgeries, 0u);
-  ASSERT_GT(reference.result.acoustic_contacts_accepted, 0u);
-  ASSERT_GT(reference.result.fused_detections, 0u);
+  // class must actually fire, otherwise thread-equality proves nothing.
+  ASSERT_GT(serial.result.network_stats.beacons_sent, 0u);
+  ASSERT_GT(serial.result.network_stats.beacon_receptions, 0u);
+  ASSERT_GT(serial.result.network_stats.suspicions, 0u);
+  ASSERT_GT(serial.result.network_stats.congestion_losses, 0u);
+  ASSERT_GT(serial.result.network_stats.burst_losses, 0u);
+  ASSERT_GT(serial.result.network_stats.attack_forgeries, 0u);
+  ASSERT_GT(serial.result.acoustic_contacts_accepted, 0u);
+  ASSERT_GT(serial.result.fused_detections, 0u);
 
-  // 2 and 4 divide the 36-node field evenly; 5 does not (stripes of 7
-  // and 8), so uneven ownership is covered too.
-  for (const std::size_t shards : {2u, 4u, 5u}) {
-    const Run sharded = run_sharded(shards);
-    EXPECT_EQ(reference.hash, sharded.hash) << "shards=" << shards;
-    EXPECT_EQ(reference.metrics, sharded.metrics) << "shards=" << shards;
-    EXPECT_EQ(reference.trace, sharded.trace) << "shards=" << shards;
-    EXPECT_EQ(reference.telemetry, sharded.telemetry)
-        << "shards=" << shards;
-    EXPECT_EQ(reference.flightrec, sharded.flightrec)
-        << "shards=" << shards;
-  }
+  const Run parallel = run_faulted(4);
+  EXPECT_EQ(serial.hash, parallel.hash);
+  EXPECT_EQ(serial.metrics, parallel.metrics);
+  EXPECT_EQ(serial.trace, parallel.trace);
+  EXPECT_EQ(serial.telemetry, parallel.telemetry);
+  EXPECT_EQ(serial.flightrec, parallel.flightrec);
 }
 
 // --------------------------------------------------------- metrics dumps

@@ -1,9 +1,11 @@
 // Tests for SensorTrace serialization (CSV and SIDB binary).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numbers>
 
 #include "ocean/wave_field.h"
@@ -54,6 +56,21 @@ class TraceIoTest : public ::testing::Test {
       }
     }
     return generate_trace(field, trains, trace_cfg);
+  }
+
+  // A bare 40-byte SIDB header: magic, version 1, rate, start time and
+  // the two counts, with no payload behind it.
+  void write_header(const std::string& name, double rate_hz,
+                    std::uint64_t samples, std::uint64_t intervals) const {
+    std::ofstream out(path(name), std::ios::binary);
+    const std::uint32_t version = 1;
+    const double start_s = 0.0;
+    out.write("SIDB", 4);
+    out.write(reinterpret_cast<const char*>(&version), sizeof version);
+    out.write(reinterpret_cast<const char*>(&rate_hz), sizeof rate_hz);
+    out.write(reinterpret_cast<const char*>(&start_s), sizeof start_s);
+    out.write(reinterpret_cast<const char*>(&samples), sizeof samples);
+    out.write(reinterpret_cast<const char*>(&intervals), sizeof intervals);
   }
 
   fs::path dir_;
@@ -147,6 +164,53 @@ TEST_F(TraceIoTest, RejectsTruncatedBinary) {
   const auto full = fs::file_size(path("t.sidb"));
   fs::resize_file(path("t.sidb"), full / 2);
   EXPECT_THROW(read_trace_binary(path("t.sidb")), util::Error);
+}
+
+// The header counts must be bounded by the bytes in the file before they
+// size anything: a 40-byte file claiming 2^40 samples would otherwise
+// ask for 3 x 8 TiB (bad_alloc), and one claiming 2^62 wake intervals
+// would loop past EOF until killed.
+TEST_F(TraceIoTest, RejectsSampleCountBeyondFileSize) {
+  write_header("samples.sidb", 50.0, std::uint64_t{1} << 40, 0);
+  ASSERT_EQ(fs::file_size(path("samples.sidb")), 40u);
+  EXPECT_THROW(read_trace_binary(path("samples.sidb")), util::InvalidArgument);
+}
+
+TEST_F(TraceIoTest, RejectsIntervalCountBeyondFileSize) {
+  write_header("intervals.sidb", 50.0, 0, std::uint64_t{1} << 62);
+  ASSERT_EQ(fs::file_size(path("intervals.sidb")), 40u);
+  EXPECT_THROW(read_trace_binary(path("intervals.sidb")),
+               util::InvalidArgument);
+}
+
+TEST_F(TraceIoTest, RejectsCountsWhoseProductWouldOverflow) {
+  // 12 * 2^62 wraps a uint64; the sample bound must fire first.
+  write_header("wrap.sidb", 50.0, std::uint64_t{1} << 62, 1);
+  EXPECT_THROW(read_trace_binary(path("wrap.sidb")), util::InvalidArgument);
+}
+
+TEST_F(TraceIoTest, RejectsNonFiniteSampleRate) {
+  write_header("nan.sidb", std::numeric_limits<double>::quiet_NaN(), 0, 0);
+  EXPECT_THROW(read_trace_binary(path("nan.sidb")), util::InvalidArgument);
+  write_header("inf.sidb", std::numeric_limits<double>::infinity(), 0, 0);
+  EXPECT_THROW(read_trace_binary(path("inf.sidb")), util::InvalidArgument);
+}
+
+TEST_F(TraceIoTest, RejectsValidFileMissingItsLastByte) {
+  const auto original = make_trace(true);
+  ASSERT_FALSE(original.wake_intervals.empty());
+  write_trace_binary(original, path("short.sidb"));
+  EXPECT_NO_THROW(read_trace_binary(path("short.sidb")));
+  const auto full = fs::file_size(path("short.sidb"));
+  fs::resize_file(path("short.sidb"), full - 1);
+  EXPECT_THROW(read_trace_binary(path("short.sidb")), util::InvalidArgument);
+}
+
+TEST_F(TraceIoTest, EmptyTraceRoundTrips) {
+  write_header("empty.sidb", 50.0, 0, 0);
+  const auto loaded = read_trace_binary(path("empty.sidb"));
+  EXPECT_EQ(loaded.size(), 0u);
+  EXPECT_TRUE(loaded.wake_intervals.empty());
 }
 
 }  // namespace

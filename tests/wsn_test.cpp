@@ -67,17 +67,6 @@ TEST(EventQueueTest, RunUntilStopsAtBoundary) {
   EXPECT_EQ(queue.pending(), 1u);
 }
 
-TEST(EventQueueTest, NextTimePeeksWithoutRunning) {
-  EventQueue queue;
-  EXPECT_THROW(queue.next_time(), util::InvalidArgument);
-  queue.schedule_at(2.5, [] {});
-  queue.schedule_at(1.5, [] {});
-  EXPECT_NEAR(queue.next_time(), 1.5, 1e-12);
-  EXPECT_EQ(queue.pending(), 2u);  // peeking executes nothing
-  queue.run_all();
-  EXPECT_THROW(queue.next_time(), util::InvalidArgument);
-}
-
 TEST(EventQueueTest, PastSchedulingThrows) {
   EventQueue queue;
   queue.schedule_at(2.0, [] {});
