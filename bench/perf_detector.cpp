@@ -117,7 +117,7 @@ void BM_ScenarioFrontEnd(benchmark::State& state) {
                           static_cast<std::int64_t>(net.node_count()));
 }
 BENCHMARK(BM_ScenarioFrontEnd)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -30,27 +30,6 @@ void BM_FftReal(benchmark::State& state) {
 }
 BENCHMARK(BM_FftReal)->Arg(256)->Arg(1024)->Arg(2048)->Arg(8192);
 
-void BM_FftRealOnesided(benchmark::State& state) {
-  // Half-size packed real transform — the throughput-first path; compare
-  // against BM_FftReal at the same size for the split-radix gain.
-  const auto signal = random_signal(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sid::dsp::fft_real_onesided(signal));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FftRealOnesided)->Arg(256)->Arg(1024)->Arg(2048)->Arg(8192);
-
-void BM_FftConvolve(benchmark::State& state) {
-  const auto a = random_signal(static_cast<std::size_t>(state.range(0)), 2);
-  const auto b = random_signal(201, 3);  // FIR-tap-sized kernel
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sid::dsp::fft_convolve(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FftConvolve)->Arg(12000);
-
 void BM_WelchPsd(benchmark::State& state) {
   const auto signal = random_signal(static_cast<std::size_t>(state.range(0)));
   sid::dsp::WelchConfig cfg;  // 1024-point segments, 512 overlap
@@ -111,16 +90,6 @@ void BM_FiltFilt(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_FiltFilt)->Arg(12000);
-
-void BM_FirFilter(benchmark::State& state) {
-  const auto signal = random_signal(static_cast<std::size_t>(state.range(0)));
-  const auto taps = sid::dsp::fir_lowpass_design(1.0, 50.0, 201);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sid::dsp::fir_filter(signal, taps));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FirFilter)->Arg(12000);
 
 }  // namespace
 

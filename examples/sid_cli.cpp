@@ -42,6 +42,7 @@
 #include "sensing/trace_io.h"
 #include "shipwave/wave_train.h"
 #include "util/error.h"
+#include "util/parallel.h"
 #include "util/units.h"
 
 namespace {
@@ -211,8 +212,10 @@ int cmd_scenario(const Args& args) {
       args.num("af", detector.anomaly_frequency_threshold);
   // Worker threads for the synthesis/detection front end. Results are
   // bit-identical at any count (core/scenario.h), so this is purely a
-  // wall-clock knob.
-  cfg.scenario.threads = args.count("threads", cfg.scenario.threads);
+  // wall-clock knob. Capped at 4x the hardware threads before any pool
+  // exists, so a typo cannot ask the OS for thousands of threads.
+  cfg.scenario.threads = util::checked_thread_count(
+      args.count("threads", cfg.scenario.threads));
 
   const double knots = args.num("ship-knots", 10.0);
   const double heading = args.num("heading", 88.0);

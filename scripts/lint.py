@@ -44,8 +44,8 @@ Enforces the discipline clang-tidy cannot express:
                     outside src/wsn/ — link beliefs and suspicion
                     verdicts are delivery-layer evidence (DESIGN.md
                     §5h). Higher layers (src/core/...) consume them
-                    through read-only views (suspects, quarantine_view,
-                    guard_ledger) and the quarantine listener; letting
+                    through read-only views (suspects, quarantine_view)
+                    and the quarantine listener; letting
                     protocol code poke the tables/ledgers directly would
                     bypass the admission funnel the defense audits.
   spatial-funnel    no all-pairs triangular scan (`for (j = i + 1; j < N`)
@@ -369,9 +369,9 @@ class Linter:
                             "defense-funnel", path, lineno,
                             f"neighbor/quarantine state mutator "
                             f"'{m.group(0).strip()}' outside src/wsn/ — "
-                            f"consume suspects()/quarantine_view()/"
-                            f"guard_ledger() read-only views or the "
-                            f"quarantine listener instead")
+                            f"consume suspects()/quarantine_view() "
+                            f"read-only views or the quarantine "
+                            f"listener instead")
             if check_span and "span-funnel" not in allowed:
                 for pat in SPAN_FUNNEL_PATTERNS:
                     m = pat.search(code)

@@ -120,12 +120,6 @@ std::size_t ScenarioRun::total_alarms() const {
   return n;
 }
 
-std::size_t ScenarioRun::total_contacts() const {
-  std::size_t n = 0;
-  for (const auto& run : node_runs) n += run.contacts.size();
-  return n;
-}
-
 ScenarioRun simulate_node_reports(const wsn::Network& network,
                                   std::span<const wake::ShipTrackConfig> ships,
                                   const ScenarioConfig& config) {

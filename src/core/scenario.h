@@ -91,7 +91,6 @@ struct ScenarioRun {
   /// All reports across nodes, flattened.
   std::vector<wsn::DetectionReport> all_reports() const;
   std::size_t total_alarms() const;
-  std::size_t total_contacts() const;
 };
 
 /// True when `node` carries a hydrophone under `config` (the id-stride

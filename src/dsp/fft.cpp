@@ -89,54 +89,13 @@ void FftPlan::inverse(std::complex<double>* data) const {
 
 namespace {
 
-/// Per-thread scratch: parallel_for workers each get their own buffers, so
-/// planned transforms allocate nothing in steady state. Index 0/1 split
-/// keeps fft_convolve's two operands apart.
-std::vector<std::complex<double>>& scratch(std::size_t which, std::size_t n) {
-  thread_local std::vector<std::complex<double>> buffers[2];
-  auto& buf = buffers[which];
-  buf.assign(n, std::complex<double>(0.0, 0.0));
-  return buf;
+/// Per-thread scratch: parallel_for workers each get their own buffer, so
+/// planned transforms allocate nothing in steady state.
+std::vector<std::complex<double>>& scratch(std::size_t n) {
+  thread_local std::vector<std::complex<double>> buffer;
+  buffer.assign(n, std::complex<double>(0.0, 0.0));
+  return buffer;
 }
-
-}  // namespace
-
-void FftPlan::forward_real(std::span<const double> input,
-                           std::complex<double>* out) const {
-  util::require(input.size() == n_,
-                "FftPlan::forward_real: input length != plan size");
-  util::require(n_ >= 2, "FftPlan::forward_real: size must be >= 2");
-  const std::size_t half = n_ / 2;
-
-  // Pack even samples into the real lane and odd samples into the
-  // imaginary lane of a half-size complex signal.
-  auto& z = scratch(0, half);
-  for (std::size_t k = 0; k < half; ++k) {
-    z[k] = std::complex<double>(input[2 * k], input[2 * k + 1]);
-  }
-  fft_plan(half).forward(z.data());
-
-  // Split/combine: with E/O the spectra of the even/odd streams,
-  //   X[k] = E[k] + e^{-2πik/n} O[k],   k = 0..n/2,
-  // where E[k] = (Z[k] + conj(Z[half-k]))/2 and
-  //       O[k] = -i (Z[k] - conj(Z[half-k]))/2 (indices mod half).
-  // The e^{-2πik/n} factors are exactly the first-half twiddles of this
-  // plan's final stage (offset half - 1 in the packed table).
-  const std::complex<double>* w = fwd_twiddles_.data() + (half - 1);
-  for (std::size_t k = 0; k <= half; ++k) {
-    const std::complex<double> zk = z[k == half ? 0 : k];
-    const std::complex<double> zc = std::conj(z[(half - k) % half]);
-    const std::complex<double> even = 0.5 * (zk + zc);
-    const std::complex<double> odd =
-        std::complex<double>(0.0, -0.5) * (zk - zc);
-    // k == half needs e^{-iπ} = -1, one past the stored half-table.
-    const std::complex<double> tw =
-        k == half ? std::complex<double>(-1.0, 0.0) : w[k];
-    out[k] = even + tw * odd;
-  }
-}
-
-namespace {
 
 /// Process-global plan cache. Plans are immutable once constructed, so
 /// only the map itself needs the lock: find-or-create runs entirely under
@@ -179,13 +138,6 @@ void ifft_inplace(std::vector<std::complex<double>>& data) {
   fft_plan(data.size()).inverse(data.data());
 }
 
-std::vector<std::complex<double>> fft(
-    std::span<const std::complex<double>> input) {
-  std::vector<std::complex<double>> data(input.begin(), input.end());
-  fft_inplace(data);
-  return data;
-}
-
 std::vector<std::complex<double>> fft_real(std::span<const double> input) {
   std::vector<std::complex<double>> data(input.size());
   for (std::size_t i = 0; i < input.size(); ++i) data[i] = input[i];
@@ -193,30 +145,12 @@ std::vector<std::complex<double>> fft_real(std::span<const double> input) {
   return data;
 }
 
-std::vector<std::complex<double>> fft_real_onesided(
-    std::span<const double> input) {
-  const std::size_t n = input.size();
-  util::require(is_power_of_two(n) && n >= 2,
-                "fft_real_onesided: size must be a power of two >= 2");
-  std::vector<std::complex<double>> out(n / 2 + 1);
-  fft_plan(n).forward_real(input, out.data());
-  return out;
-}
-
-std::vector<double> ifft_real(std::span<const std::complex<double>> input) {
-  std::vector<std::complex<double>> data(input.begin(), input.end());
-  ifft_inplace(data);
-  std::vector<double> out(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) out[i] = data[i].real();
-  return out;
-}
-
 std::vector<double> power_spectrum(std::span<const double> input) {
   // Full-size transform into per-thread scratch: bit-identical to the
   // legacy path (see FftPlan), allocation-free except for the returned
   // one-sided vector.
   const std::size_t n = input.size();
-  auto& data = scratch(0, n);
+  auto& data = scratch(n);
   for (std::size_t i = 0; i < n; ++i) data[i] = input[i];
   fft_plan(n).forward(data.data());
   std::vector<double> power(n / 2 + 1);
@@ -229,25 +163,6 @@ std::vector<double> power_spectrum(std::span<const double> input) {
 double bin_frequency(std::size_t k, std::size_t n, double sample_rate_hz) {
   util::require(n > 0, "bin_frequency: n must be positive");
   return sample_rate_hz * static_cast<double>(k) / static_cast<double>(n);
-}
-
-std::vector<double> fft_convolve(std::span<const double> a,
-                                 std::span<const double> b) {
-  util::require(!a.empty() && !b.empty(), "fft_convolve: empty input");
-  const std::size_t out_len = a.size() + b.size() - 1;
-  const std::size_t n = next_power_of_two(out_len);
-  const FftPlan& plan = fft_plan(n);
-  auto& fa = scratch(0, n);
-  auto& fb = scratch(1, n);
-  for (std::size_t i = 0; i < a.size(); ++i) fa[i] = a[i];
-  for (std::size_t i = 0; i < b.size(); ++i) fb[i] = b[i];
-  plan.forward(fa.data());
-  plan.forward(fb.data());
-  for (std::size_t i = 0; i < n; ++i) fa[i] *= fb[i];
-  plan.inverse(fa.data());
-  std::vector<double> out(out_len);
-  for (std::size_t i = 0; i < out_len; ++i) out[i] = fa[i].real();
-  return out;
 }
 
 }  // namespace sid::dsp

@@ -2,8 +2,7 @@
 //
 // Implemented from scratch (no external FFT dependency): iterative
 // Cooley–Tukey with bit-reversal permutation. Sizes must be powers of two,
-// which matches the paper's 2048-point STFT frames. Real-input helpers
-// return only the non-redundant half of the spectrum.
+// which matches the paper's 2048-point STFT frames.
 //
 // Plans: an FftPlan precomputes, per size, the bit-reversal permutation
 // and the per-stage twiddle-factor tables that the transform kernel would
@@ -13,8 +12,8 @@
 // historical unplanned implementation — a property the plan-equivalence
 // tests pin across sizes 8…4096. fft_plan() memoizes plans by size behind
 // a mutex (plans are immutable after construction and safe to share
-// across parallel_for workers); per-thread scratch buffers remove the
-// remaining per-call allocation churn in power_spectrum and fft_convolve.
+// across parallel_for workers); a per-thread scratch buffer removes the
+// remaining per-call allocation churn in power_spectrum.
 #pragma once
 
 #include <complex>
@@ -48,17 +47,6 @@ class FftPlan {
   /// Includes the 1/N normalization.
   void inverse(std::complex<double>* data) const;
 
-  /// Real-input forward transform via one complex FFT of half the size:
-  /// packs the even/odd samples of `input` (length `size()`, >= 2) into a
-  /// size()/2-point complex signal and reconstructs the one-sided spectrum
-  /// (bins 0..size()/2, i.e. size()/2 + 1 values) with a split/combine
-  /// pass. Roughly 2x faster than a full-size complex transform, but NOT
-  /// bit-identical to it (different operation order); production paths
-  /// that promise bit-compat with recorded outputs keep the full-size
-  /// transform and this entry point serves throughput-first callers.
-  void forward_real(std::span<const double> input,
-                    std::complex<double>* out) const;
-
  private:
   void transform(std::complex<double>* data, bool inverse) const;
 
@@ -81,23 +69,9 @@ void fft_inplace(std::vector<std::complex<double>>& data);
 /// In-place inverse complex FFT (includes the 1/N normalization).
 void ifft_inplace(std::vector<std::complex<double>>& data);
 
-/// Forward FFT of a complex signal (copying).
-std::vector<std::complex<double>> fft(
-    std::span<const std::complex<double>> input);
-
 /// Forward FFT of a real signal. Returns the full complex spectrum of
 /// length equal to the (power-of-two) input length.
 std::vector<std::complex<double>> fft_real(std::span<const double> input);
-
-/// One-sided spectrum (bins 0..N/2) of a real signal via the half-size
-/// packed transform (FftPlan::forward_real). Fastest real-input path; see
-/// the bit-compat caveat on forward_real.
-std::vector<std::complex<double>> fft_real_onesided(
-    std::span<const double> input);
-
-/// Inverse FFT returning the real part (for use after spectral products of
-/// conjugate-symmetric data, e.g. fast convolution).
-std::vector<double> ifft_real(std::span<const std::complex<double>> input);
 
 /// One-sided magnitude-squared spectrum of a real signal: bins 0..N/2.
 /// No window; callers that need leakage control window the frame first.
@@ -106,9 +80,5 @@ std::vector<double> power_spectrum(std::span<const double> input);
 /// The frequency in Hz of one-sided bin k for an N-point transform at
 /// `sample_rate_hz`.
 double bin_frequency(std::size_t k, std::size_t n, double sample_rate_hz);
-
-/// Linear convolution of two real sequences via FFT (zero-padded).
-std::vector<double> fft_convolve(std::span<const double> a,
-                                 std::span<const double> b);
 
 }  // namespace sid::dsp

@@ -4,60 +4,11 @@
 #include <cmath>
 #include <numbers>
 
-#include "dsp/fft.h"
 #include "obs/profile.h"
 #include "util/check.h"
 #include "util/error.h"
 
 namespace sid::dsp {
-
-std::vector<double> fir_lowpass_design(double cutoff_hz, double sample_rate_hz,
-                                       std::size_t num_taps) {
-  util::require(sample_rate_hz > 0.0, "fir_lowpass_design: bad sample rate");
-  util::require(cutoff_hz > 0.0 && cutoff_hz < sample_rate_hz / 2.0,
-                "fir_lowpass_design: cutoff must be in (0, Nyquist)");
-  util::require(num_taps >= 3 && num_taps % 2 == 1,
-                "fir_lowpass_design: num_taps must be odd and >= 3");
-
-  const double fc = cutoff_hz / sample_rate_hz;  // normalized (cycles/sample)
-  const auto mid = static_cast<double>(num_taps - 1) / 2.0;
-  std::vector<double> taps(num_taps);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < num_taps; ++i) {
-    const double t = static_cast<double>(i) - mid;
-    double sinc;
-    if (t == 0.0) {
-      sinc = 2.0 * fc;
-    } else {
-      sinc = std::sin(2.0 * std::numbers::pi * fc * t) /
-             (std::numbers::pi * t);
-    }
-    // Hamming window.
-    const double w = 0.54 - 0.46 * std::cos(2.0 * std::numbers::pi *
-                                            static_cast<double>(i) /
-                                            static_cast<double>(num_taps - 1));
-    taps[i] = sinc * w;
-    sum += taps[i];
-  }
-  // Normalize to unity DC gain.
-  for (auto& t : taps) t /= sum;
-  return taps;
-}
-
-std::vector<double> fir_filter(std::span<const double> signal,
-                               std::span<const double> taps) {
-  SID_PROFILE_STAGE(obs::Stage::kFilter);
-  util::require(!taps.empty(), "fir_filter: empty taps");
-  util::require(!signal.empty(), "fir_filter: empty signal");
-  const auto full = fft_convolve(signal, taps);
-  const std::size_t delay = (taps.size() - 1) / 2;
-  std::vector<double> out(signal.size());
-  for (std::size_t i = 0; i < signal.size(); ++i) {
-    out[i] = full[i + delay];
-  }
-  SID_DCHECK_FINITE(out, "fir_filter output");
-  return out;
-}
 
 Biquad::Biquad(double b0, double b1, double b2, double a1, double a2)
     : b0_(b0), b1_(b1), b2_(b2), a1_(a1), a2_(a2) {}

@@ -1,11 +1,9 @@
 // Digital filters for the node-level detector front end.
 //
 // The paper's node pipeline "filters out the frequency above 1 Hz" before
-// thresholding (§IV-B, Fig. 8). We provide:
-//  * windowed-sinc FIR design + offline filtering (batch analysis),
-//  * Butterworth IIR (cascaded biquads, bilinear transform) for the
-//    streaming on-node path, plus zero-phase forward-backward filtering
-//    for offline figure reproduction.
+// thresholding (§IV-B, Fig. 8). We provide a Butterworth IIR (cascaded
+// biquads, bilinear transform) for the streaming on-node path, plus
+// zero-phase forward-backward filtering for offline figure reproduction.
 #pragma once
 
 #include <cstddef>
@@ -13,16 +11,6 @@
 #include <vector>
 
 namespace sid::dsp {
-
-/// Designs a linear-phase low-pass FIR by the windowed-sinc method
-/// (Hamming window). `num_taps` must be odd so the delay is an integer.
-std::vector<double> fir_lowpass_design(double cutoff_hz, double sample_rate_hz,
-                                       std::size_t num_taps);
-
-/// Applies an FIR filter and compensates its (num_taps-1)/2 group delay so
-/// the output aligns with the input. Output length equals input length.
-std::vector<double> fir_filter(std::span<const double> signal,
-                               std::span<const double> taps);
 
 /// One second-order IIR section (Direct Form II transposed).
 class Biquad {

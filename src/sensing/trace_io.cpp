@@ -177,6 +177,12 @@ SensorTrace read_trace_binary(const std::string& path) {
   for (std::uint64_t i = 0; i < intervals; ++i) {
     const double start = get<double>(in);
     const double end = get<double>(in);
+    // Checked with a plain branch: the message (and its allocation) is
+    // built only on failure.
+    if (!(std::isfinite(start) && std::isfinite(end) && start <= end)) {
+      throw util::InvalidArgument("read_trace_binary: bad wake interval in " +
+                                  path);
+    }
     trace.wake_intervals.emplace_back(start, end);
   }
   util::require(in.good(), "read_trace_binary: truncated data in " + path);

@@ -1,6 +1,9 @@
 #include "util/parallel.h"
 
+#include <string>
 #include <utility>
+
+#include "util/error.h"
 
 namespace sid::util {
 
@@ -104,6 +107,14 @@ void parallel_for(ThreadPool* pool, std::size_t n,
 std::size_t hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+}
+
+std::size_t checked_thread_count(std::size_t threads) {
+  const std::size_t cap = 4 * hardware_threads();
+  require(threads <= cap, "thread count " + std::to_string(threads) +
+                              " exceeds 4 x hardware threads (" +
+                              std::to_string(cap) + ")");
+  return threads;
 }
 
 }  // namespace sid::util

@@ -87,4 +87,9 @@ void parallel_for(ThreadPool* pool, std::size_t n,
 /// results, only how many workers compute them.
 std::size_t hardware_threads();
 
+/// Returns `threads` unchanged, or throws InvalidArgument when it exceeds
+/// 4 x hardware_threads(). For worker counts that arrive from outside the
+/// program (command-line flags), checked before any pool is built.
+std::size_t checked_thread_count(std::size_t threads);
+
 }  // namespace sid::util

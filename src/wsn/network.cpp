@@ -952,11 +952,6 @@ bool Network::beacon_plausible(NodeId listener, NodeId claimed,
   return std::abs(measured - expected) <= tolerance;
 }
 
-const GuardLedger* Network::guard_ledger(NodeId id) const {
-  const auto it = guards_.find(id);
-  return it == guards_.end() ? nullptr : &it->second;
-}
-
 bool Network::quarantine_view(NodeId observer, NodeId subject) const {
   if (qview_.empty()) return false;
   util::require(observer < qview_.size() && subject < qview_.size(),
@@ -1172,35 +1167,6 @@ void Network::maybe_capture(const Message& msg,
 
 double Network::local_time(NodeId id, double t_true) const {
   return node(id).clock.local_time(t_true);
-}
-
-std::optional<double> Network::transmit_once(NodeId from, NodeId to,
-                                             std::size_t bytes) {
-  util::require(from < nodes_.size() && to < nodes_.size(),
-                "Network::transmit_once: bad id");
-  const double t = events_.now();
-  if (!node_operational(from, t)) return std::nullopt;
-  const double d = util::distance(nodes_[from].anchor, nodes_[to].anchor);
-  const double delay = radio_.hop_delay();
-  nodes_[from].energy.spend_tx(bytes);
-  counters_.bytes_sent.add(bytes);
-  if (!node_operational(to, t)) {
-    counters_.dead_receiver_drops.add();
-    return std::nullopt;
-  }
-  if (!radio_.transmit_succeeds(d)) return std::nullopt;
-  if (faults_.active()) {
-    if (faults_.congestion_drops(t)) {
-      counters_.congestion_losses.add();
-      return std::nullopt;
-    }
-    if (faults_.burst_drops(from, to)) {
-      counters_.burst_losses.add();
-      return std::nullopt;
-    }
-  }
-  nodes_[to].energy.spend_rx(bytes);
-  return delay;
 }
 
 }  // namespace sid::wsn

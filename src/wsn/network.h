@@ -267,10 +267,6 @@ class Network {
   /// True when the plausibility defense is enabled for this run.
   bool defense_active() const { return config_.defense.enabled; }
 
-  /// Read access to a guard node's suspicion ledger (nullptr when `id`
-  /// is not guarded or the defense is disabled).
-  const GuardLedger* guard_ledger(NodeId id) const;
-
   /// True while `observer`'s quarantine view (its own ledger, or flooded
   /// QuarantineNotices) excludes `subject`.
   bool quarantine_view(NodeId observer, NodeId subject) const;
@@ -278,8 +274,6 @@ class Network {
   /// Invoked on every fresh quarantine (subject, sim time). Higher layers
   /// use it to drop tainted per-source transport state.
   void set_quarantine_listener(std::function<void(NodeId, double)> listener);
-
-  RoutingMode routing_mode() const { return config_.routing; }
 
   /// Read access to the fault layer (crash schedule, sensor faults).
   const FaultInjector& faults() const { return faults_; }
@@ -322,13 +316,6 @@ class Network {
 
   /// True time -> local timestamp for a node (convenience).
   double local_time(NodeId id, double t_true) const;
-
-  /// One link-layer transmission attempt between two nodes (no
-  /// retransmissions, no routing): the delay on success, nullopt on
-  /// loss. Energy is accounted. Building block for protocols layered on
-  /// the network (e.g. time sync).
-  std::optional<double> transmit_once(NodeId from, NodeId to,
-                                      std::size_t bytes);
 
  private:
   void build_grid();

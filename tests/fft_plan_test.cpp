@@ -6,11 +6,7 @@
 // ran, so every butterfly consumes the same multipliers in the same
 // order. These tests freeze the old kernel verbatim as a reference and
 // compare digests across sizes 8…4096 — for the raw transforms and for
-// the composite users (power_spectrum, fft_convolve, welch_psd, stft).
-//
-// The half-size real-input path (FftPlan::forward_real) deliberately is
-// NOT bit-identical (different operation order); it gets tolerance and
-// Parseval checks instead, matching its documented contract.
+// the composite users (power_spectrum, welch_psd, stft).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -83,22 +79,6 @@ std::vector<double> power_spectrum(std::span<const double> input) {
     power[k] = std::norm(spectrum[k]);
   }
   return power;
-}
-
-std::vector<double> fft_convolve(std::span<const double> a,
-                                 std::span<const double> b) {
-  const std::size_t out_len = a.size() + b.size() - 1;
-  const std::size_t n = dsp::next_power_of_two(out_len);
-  std::vector<std::complex<double>> fa(n), fb(n);
-  for (std::size_t i = 0; i < a.size(); ++i) fa[i] = a[i];
-  for (std::size_t i = 0; i < b.size(); ++i) fb[i] = b[i];
-  fft_core(fa, false);
-  fft_core(fb, false);
-  for (std::size_t i = 0; i < n; ++i) fa[i] *= fb[i];
-  fft_core(fa, true);
-  std::vector<double> out(out_len);
-  for (std::size_t i = 0; i < out_len; ++i) out[i] = fa[i].real();
-  return out;
 }
 
 /// Welch PSD exactly as spectrum.cpp computed it before the plan cache:
@@ -188,18 +168,6 @@ TEST(FftPlanTest, PowerSpectrumMatchesLegacyBitForBit) {
   }
 }
 
-TEST(FftPlanTest, FftConvolveMatchesLegacyBitForBit) {
-  // Unequal, non-power-of-two lengths exercise the zero-padded pad-to-pow2
-  // path the filters rely on (FIR via fft_convolve).
-  const std::size_t lens[][2] = {{5, 3}, {64, 17}, {1000, 201}, {4096, 129}};
-  for (const auto& [la, lb] : lens) {
-    const auto a = random_signal(la, 400 + la);
-    const auto b = random_signal(lb, 500 + lb);
-    EXPECT_EQ(dsp::fft_convolve(a, b), legacy::fft_convolve(a, b))
-        << "la=" << la << " lb=" << lb;
-  }
-}
-
 TEST(FftPlanTest, WelchPsdMatchesLegacyBitForBit) {
   const auto x = random_signal(10'000, 77);
   dsp::WelchConfig cfg;
@@ -225,54 +193,6 @@ TEST(FftPlanTest, StftMatchesPerFrameCompositionBitForBit) {
         cfg.window);
     EXPECT_EQ(gram.frames[f].power, expected) << "frame " << f;
   }
-}
-
-// --------------------------------------- half-size real path (tolerance)
-
-TEST(FftPlanTest, RealOnesidedMatchesFullTransformWithinTolerance) {
-  for (const std::size_t n : kSizes) {
-    const auto x = random_signal(n, 600 + n);
-    const auto onesided = dsp::fft_real_onesided(x);
-    const auto full = dsp::fft_real(x);
-    ASSERT_EQ(onesided.size(), n / 2 + 1);
-    for (std::size_t k = 0; k <= n / 2; ++k) {
-      const double scale = std::max(1.0, std::abs(full[k]));
-      EXPECT_NEAR(onesided[k].real(), full[k].real(), 1e-10 * scale)
-          << "n=" << n << " k=" << k;
-      EXPECT_NEAR(onesided[k].imag(), full[k].imag(), 1e-10 * scale)
-          << "n=" << n << " k=" << k;
-    }
-  }
-}
-
-TEST(FftPlanTest, RealOnesidedSatisfiesParseval) {
-  const std::size_t n = 2048;
-  const auto x = random_signal(n, 9);
-  double time_energy = 0.0;
-  for (const double v : x) time_energy += v * v;
-  const auto spec = dsp::fft_real_onesided(x);
-  double freq_energy = std::norm(spec.front()) + std::norm(spec.back());
-  for (std::size_t k = 1; k + 1 < spec.size(); ++k) {
-    freq_energy += 2.0 * std::norm(spec[k]);
-  }
-  freq_energy /= static_cast<double>(n);
-  EXPECT_NEAR(freq_energy, time_energy, 1e-8 * time_energy);
-}
-
-TEST(FftPlanTest, RealOnesidedResolvesPureTone) {
-  const std::size_t n = 1024;
-  const std::size_t bin = 37;
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = std::cos(2.0 * std::numbers::pi * static_cast<double>(bin * i) /
-                    static_cast<double>(n));
-  }
-  const auto spec = dsp::fft_real_onesided(x);
-  // A unit cosine at an exact bin puts n/2 in that bin and ~0 elsewhere.
-  EXPECT_NEAR(spec[bin].real(), static_cast<double>(n) / 2.0, 1e-8);
-  EXPECT_NEAR(spec[bin].imag(), 0.0, 1e-8);
-  EXPECT_NEAR(std::abs(spec[bin - 1]), 0.0, 1e-8);
-  EXPECT_NEAR(std::abs(spec[bin + 1]), 0.0, 1e-8);
 }
 
 TEST(FftPlanTest, PlanRejectsNonPowerOfTwo) {

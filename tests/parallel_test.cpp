@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/error.h"
 #include "util/parallel.h"
 
 namespace sid::util {
@@ -108,6 +109,14 @@ TEST(ParallelForTest, SingleThreadPoolRunsSerial) {
     out[i] = static_cast<int>(i) * 2;
   });
   EXPECT_EQ(out, (std::vector<int>{0, 2, 4, 6}));
+}
+
+// Pure check: no pool is built, so no thread starts.
+TEST(CheckedThreadCountTest, CapsAtFourTimesHardwareThreads) {
+  const std::size_t hw = hardware_threads();
+  EXPECT_EQ(checked_thread_count(hw), hw);
+  EXPECT_EQ(checked_thread_count(4 * hw), 4 * hw);
+  EXPECT_THROW(checked_thread_count(4 * hw + 1), InvalidArgument);
 }
 
 }  // namespace

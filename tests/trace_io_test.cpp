@@ -73,6 +73,15 @@ class TraceIoTest : public ::testing::Test {
     out.write(reinterpret_cast<const char*>(&intervals), sizeof intervals);
   }
 
+  // A header with no samples and one wake interval [start, end].
+  void write_interval(const std::string& name, double start,
+                      double end) const {
+    write_header(name, 50.0, 0, 1);
+    std::ofstream out(path(name), std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(&start), sizeof start);
+    out.write(reinterpret_cast<const char*>(&end), sizeof end);
+  }
+
   fs::path dir_;
 };
 
@@ -204,6 +213,25 @@ TEST_F(TraceIoTest, RejectsValidFileMissingItsLastByte) {
   const auto full = fs::file_size(path("short.sidb"));
   fs::resize_file(path("short.sidb"), full - 1);
   EXPECT_THROW(read_trace_binary(path("short.sidb")), util::InvalidArgument);
+}
+
+// Wake intervals are ground truth for the detector's scoring; a NaN,
+// infinite or inverted interval must be refused at the file boundary.
+TEST_F(TraceIoTest, RejectsNonFiniteOrInvertedWakeInterval) {
+  write_interval("ok.sidb", 1.0, 2.0);
+  const auto loaded = read_trace_binary(path("ok.sidb"));
+  ASSERT_EQ(loaded.wake_intervals.size(), 1u);
+  EXPECT_EQ(loaded.wake_intervals[0], std::make_pair(1.0, 2.0));
+
+  write_interval("nan_start.sidb", std::numeric_limits<double>::quiet_NaN(),
+                 2.0);
+  EXPECT_THROW(read_trace_binary(path("nan_start.sidb")),
+               util::InvalidArgument);
+  write_interval("inf_end.sidb", 1.0, std::numeric_limits<double>::infinity());
+  EXPECT_THROW(read_trace_binary(path("inf_end.sidb")), util::InvalidArgument);
+  write_interval("inverted.sidb", 2.0, 1.0);
+  EXPECT_THROW(read_trace_binary(path("inverted.sidb")),
+               util::InvalidArgument);
 }
 
 TEST_F(TraceIoTest, EmptyTraceRoundTrips) {
